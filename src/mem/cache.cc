@@ -1,5 +1,6 @@
 #include "mem/cache.hh"
 
+#include <algorithm>
 #include <bit>
 
 #include "util/logging.hh"
@@ -21,7 +22,7 @@ Cache::Cache(std::string name, const CacheParams &params)
         fatal("cache ", name_, ": size/assoc/line geometry invalid");
     num_sets_ = lines / params_.assoc;
     line_shift_ = std::countr_zero(params_.line_bytes);
-    sets_.assign(num_sets_, std::vector<Line>(params_.assoc));
+    lines_.assign(lines, Line{});
 }
 
 size_t
@@ -39,14 +40,15 @@ Cache::tagOf(uint32_t addr) const
 bool
 Cache::access(uint32_t addr, bool write)
 {
-    auto &set = sets_[setIndex(addr)];
+    Line *const set = &lines_[setIndex(addr) * params_.assoc];
+    Line *const set_end = set + params_.assoc;
     const uint32_t tag = tagOf(addr);
     ++access_clock_;
 
-    for (auto &line : set) {
-        if (line.valid && line.tag == tag) {
-            line.lru = access_clock_;
-            line.dirty = line.dirty || write;
+    for (Line *line = set; line != set_end; ++line) {
+        if (line->valid && line->tag == tag) {
+            line->lru = access_clock_;
+            line->dirty = line->dirty || write;
             ++hits_;
             return true;
         }
@@ -54,14 +56,14 @@ Cache::access(uint32_t addr, bool write)
 
     // Miss: allocate, evicting the LRU way.
     ++misses_;
-    Line *victim = &set[0];
-    for (auto &line : set) {
-        if (!line.valid) {
-            victim = &line;
+    Line *victim = set;
+    for (Line *line = set; line != set_end; ++line) {
+        if (!line->valid) {
+            victim = line;
             break;
         }
-        if (line.lru < victim->lru)
-            victim = &line;
+        if (line->lru < victim->lru)
+            victim = line;
     }
     if (victim->valid && victim->dirty)
         ++writebacks_;
@@ -75,31 +77,26 @@ Cache::access(uint32_t addr, bool write)
 bool
 Cache::probe(uint32_t addr) const
 {
-    const auto &set = sets_[setIndex(addr)];
+    const Line *const set = &lines_[setIndex(addr) * params_.assoc];
     const uint32_t tag = tagOf(addr);
-    for (const auto &line : set)
-        if (line.valid && line.tag == tag)
-            return true;
-    return false;
+    return std::any_of(set, set + params_.assoc, [tag](const Line &line) {
+        return line.valid && line.tag == tag;
+    });
 }
 
 void
 Cache::flush()
 {
-    for (auto &set : sets_)
-        for (auto &line : set)
-            line = Line{};
-}
-
-MemHierarchy::MemHierarchy(const HierarchyParams &params)
-    : params_(params), l1_("l1", params.l1), l2_("l2", params.l2)
-{
+    std::fill(lines_.begin(), lines_.end(), Line{});
 }
 
 MemHierarchy::MemHierarchy(const HierarchyParams &params, Cache *shared_l2)
-    : params_(params), l1_("l1", params.l1), l2_("l2-unused", params.l2),
-      shared_l2_(shared_l2)
+    : params_(params), l1_("l1", params.l1), shared_l2_(shared_l2)
 {
+    // An 8 MB private L2 is 131,072 lines: build it only when no
+    // shared one stands in for it.
+    if (!shared_l2_)
+        l2_.emplace("l2", params.l2);
 }
 
 uint32_t

@@ -10,6 +10,7 @@
 #define MESA_MEM_CACHE_HH
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -86,7 +87,7 @@ class Cache
     CacheParams params_;
     size_t num_sets_;
     unsigned line_shift_;
-    std::vector<std::vector<Line>> sets_;
+    std::vector<Line> lines_; ///< Set s holds lines [s*assoc, (s+1)*assoc).
     uint64_t access_clock_ = 0;
 
     Counter hits_{"hits"};
@@ -113,13 +114,13 @@ struct HierarchyParams
 class MemHierarchy
 {
   public:
-    explicit MemHierarchy(const HierarchyParams &params = {});
-
     /**
-     * Construct with an externally owned, shared L2 (multicore: each
-     * core keeps a private L1 but all cores contend in one L2).
+     * @param shared_l2 an externally owned L2 to use instead of a
+     *        private one (multicore: each core keeps a private L1 but
+     *        all cores contend in one L2); nullptr builds a private L2.
      */
-    MemHierarchy(const HierarchyParams &params, Cache *shared_l2);
+    explicit MemHierarchy(const HierarchyParams &params = {},
+                          Cache *shared_l2 = nullptr);
 
     /** Access an address; returns total latency in cycles. */
     uint32_t accessLatency(uint32_t addr, bool write);
@@ -136,9 +137,9 @@ class MemHierarchy
 
     uint64_t accesses() const { return amat_.count(); }
     Cache &l1() { return l1_; }
-    Cache &l2() { return shared_l2_ ? *shared_l2_ : l2_; }
+    Cache &l2() { return shared_l2_ ? *shared_l2_ : *l2_; }
     const Cache &l1() const { return l1_; }
-    const Cache &l2() const { return shared_l2_ ? *shared_l2_ : l2_; }
+    const Cache &l2() const { return shared_l2_ ? *shared_l2_ : *l2_; }
     uint32_t dramLatency() const { return params_.dram_latency; }
 
     /** Accesses that went all the way to DRAM (L2 misses seen here). */
@@ -162,7 +163,7 @@ class MemHierarchy
   private:
     HierarchyParams params_;
     Cache l1_;
-    Cache l2_;
+    std::optional<Cache> l2_; ///< Private L2; absent when one is shared.
     Cache *shared_l2_ = nullptr;
     Average amat_;
     Counter dram_accesses_{"dram_accesses"};

@@ -103,13 +103,25 @@ class MainMemory
         write32(addr, std::bit_cast<uint32_t>(v));
     }
 
-    /** Copy a block of bytes into memory (program/data loading). */
+    /**
+     * Copy a block of bytes into memory (program/data loading,
+     * checkpoint restore): one page lookup, generation bump, and
+     * memcpy per page touched. Addresses wrap at 2^32 like write8's.
+     */
     void
     writeBlock(uint32_t addr, const void *src, size_t len)
     {
         const auto *bytes = static_cast<const uint8_t *>(src);
-        for (size_t i = 0; i < len; ++i)
-            write8(addr + uint32_t(i), bytes[i]);
+        while (len > 0) {
+            const uint32_t offset = addr & (PageSize - 1);
+            const size_t chunk = std::min<size_t>(len, PageSize - offset);
+            Page &p = page(addr);
+            ++p.gen;
+            std::memcpy(p.bytes.data() + offset, bytes, chunk);
+            addr += uint32_t(chunk);
+            bytes += chunk;
+            len -= chunk;
+        }
     }
 
     /** Number of resident (touched) pages. */

@@ -7,10 +7,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <utility>
+#include <vector>
+
+#include "fault/checkpoint.hh"
 #include "mem/cache.hh"
 #include "mem/lsq.hh"
 #include "mem/memory.hh"
 #include "util/logging.hh"
+#include "util/stats_registry.hh"
 
 namespace
 {
@@ -18,6 +24,16 @@ namespace
 using namespace mesa;
 using namespace mesa::mem;
 using riscv::Op;
+
+/** Fixed-seed xorshift64 for reproducible random traces. */
+uint64_t
+nextRandom(uint64_t &x)
+{
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    return x;
+}
 
 TEST(MainMemory, ReadWriteWidths)
 {
@@ -59,6 +75,90 @@ TEST(MainMemory, FloatAccessAndSnapshot)
     float old;
     std::memcpy(&old, page.data(), 4);
     EXPECT_FLOAT_EQ(old, 3.25f);
+}
+
+TEST(MainMemory, WriteBlockMatchesBytewiseWrites)
+{
+    // Spans: page-aligned whole page, unaligned start within a page,
+    // unaligned start crossing one and then two page boundaries, a
+    // span ending exactly on a boundary, and an empty span.
+    struct Span
+    {
+        uint32_t addr;
+        size_t len;
+    };
+    const Span spans[] = {{0x10000, 4096}, {0x20123, 100},
+                          {0x30ffd, 9},    {0x40f00, 2 * 4096 + 77},
+                          {0x50f80, 128},  {0x60010, 0}};
+    uint64_t x = 0x853c49e6748fea9bull;
+    for (const Span &span : spans) {
+        std::vector<uint8_t> data(span.len);
+        for (auto &b : data)
+            b = uint8_t(nextRandom(x));
+
+        MainMemory block, bytewise;
+        // Resident pages first, so generations have a before value.
+        const uint32_t first_page = span.addr >> MainMemory::PageShift;
+        const uint32_t last_page =
+            uint32_t((span.addr + span.len + 4095) >> MainMemory::PageShift);
+        std::vector<uint64_t> before;
+        for (uint32_t pn = first_page; pn <= last_page; ++pn) {
+            block.write32(pn << MainMemory::PageShift, 0xA5A5A5A5u);
+            bytewise.write32(pn << MainMemory::PageShift, 0xA5A5A5A5u);
+            before.push_back(*block.pageGenPtr(pn << MainMemory::PageShift));
+        }
+
+        block.writeBlock(span.addr, data.data(), data.size());
+        for (size_t i = 0; i < data.size(); ++i)
+            bytewise.write8(span.addr + uint32_t(i), data[i]);
+
+        EXPECT_EQ(block.snapshot(), bytewise.snapshot())
+            << "span at " << span.addr << " len " << span.len;
+        for (uint32_t pn = first_page; pn <= last_page; ++pn) {
+            const uint64_t addr = uint64_t(pn) << MainMemory::PageShift;
+            const bool touched = span.len > 0 && addr < span.addr + span.len &&
+                                 addr + MainMemory::PageSize > span.addr;
+            const uint64_t gen = *block.pageGenPtr(uint32_t(addr));
+            if (touched)
+                EXPECT_GT(gen, before[pn - first_page]) << "page " << pn;
+            else
+                EXPECT_EQ(gen, before[pn - first_page]) << "page " << pn;
+        }
+    }
+}
+
+TEST(MainMemory, CheckpointRoundTripIsByteExact)
+{
+    MainMemory m;
+    uint64_t x = 0xda942042e4dd58b5ull;
+    std::vector<uint8_t> image(3 * 4096 + 513);
+    for (auto &b : image)
+        b = uint8_t(nextRandom(x));
+    m.writeBlock(0x7ff00, image.data(), image.size());
+    m.write32(0x400000, 0x12345678u);
+    riscv::ArchState state;
+    state.pc = 0x1000;
+    state.x[5] = 42;
+    state.f[3] = 0x3f800000u;
+    const auto ckpt = fault::Checkpoint::capture(state, m);
+    const auto golden = m.snapshot();
+
+    // Scribble: overwrite bytes, touch a fresh page, clobber state.
+    riscv::ArchState live = state;
+    live.pc = 0xdead;
+    live.x[5] = 0;
+    for (uint32_t a = 0x7ff00; a < 0x82000; a += 7)
+        m.write8(a, uint8_t(a));
+    m.write32(0x900000, 0xffffffffu);
+
+    ckpt.restore(live, m);
+    EXPECT_EQ(live, state);
+    EXPECT_EQ(m.snapshot(), golden);
+    EXPECT_EQ(m.residentPages(), golden.size());
+    std::vector<uint8_t> back(image.size());
+    for (size_t i = 0; i < back.size(); ++i)
+        back[i] = m.read8(0x7ff00 + uint32_t(i));
+    EXPECT_EQ(back, image);
 }
 
 TEST(Cache, HitsAndMisses)
@@ -108,6 +208,106 @@ TEST(Cache, BadGeometryRejected)
                  mesa::FatalError);
 }
 
+/**
+ * The nested-vector true-LRU cache the flat line array replaced: one
+ * vector of ways per set. Kept as the reference for hit, miss, and
+ * writeback counts.
+ */
+class NestedLruCache
+{
+  public:
+    explicit NestedLruCache(const CacheParams &p)
+        : line_bytes_(p.line_bytes),
+          sets_(p.size_bytes / p.line_bytes / p.assoc,
+                std::vector<Way>(p.assoc))
+    {
+    }
+
+    void
+    access(uint32_t addr, bool write)
+    {
+        const uint32_t line = addr / uint32_t(line_bytes_);
+        auto &set = sets_[line % sets_.size()];
+        const uint32_t tag = line / uint32_t(sets_.size());
+        ++clock_;
+        for (auto &way : set) {
+            if (way.valid && way.tag == tag) {
+                way.lru = clock_;
+                way.dirty = way.dirty || write;
+                ++hits;
+                return;
+            }
+        }
+        ++misses;
+        Way *victim = &set[0];
+        for (auto &way : set) {
+            if (!way.valid) {
+                victim = &way;
+                break;
+            }
+            if (way.lru < victim->lru)
+                victim = &way;
+        }
+        if (victim->valid && victim->dirty)
+            ++writebacks;
+        *victim = Way{tag, true, write, clock_};
+    }
+
+    uint64_t hits = 0;
+    uint64_t misses = 0;
+    uint64_t writebacks = 0;
+
+  private:
+    struct Way
+    {
+        uint32_t tag = 0;
+        bool valid = false;
+        bool dirty = false;
+        uint64_t lru = 0;
+    };
+
+    size_t line_bytes_;
+    std::vector<std::vector<Way>> sets_;
+    uint64_t clock_ = 0;
+};
+
+TEST(Cache, FlatLinesMatchNestedLruReference)
+{
+    for (const size_t assoc : {1u, 4u, 8u}) {
+        const CacheParams p{8 * 1024, assoc, 64, 1};
+        Cache cache("t", p);
+        NestedLruCache reference(p);
+        uint64_t x = 0x2545f4914f6cdd1dull + assoc;
+        for (int i = 0; i < 200'000; ++i) {
+            // A hot 16 KB region (twice the cache) plus cold strays,
+            // a third of them writes: hits, conflict misses, and
+            // dirty evictions all occur.
+            const uint64_t r = nextRandom(x);
+            const uint32_t addr = (r & 3) ? uint32_t(r >> 8) % 16384
+                                          : uint32_t(r >> 16);
+            const bool write = (r >> 4) % 3 == 0;
+            cache.access(addr, write);
+            reference.access(addr, write);
+        }
+        EXPECT_EQ(cache.hits(), reference.hits) << assoc << "-way";
+        EXPECT_EQ(cache.misses(), reference.misses) << assoc << "-way";
+        EXPECT_EQ(cache.writebacks(), reference.writebacks)
+            << assoc << "-way";
+        EXPECT_GT(reference.writebacks, 0u);
+        EXPECT_GT(reference.hits, 0u);
+    }
+}
+
+TEST(Cache, FlushInvalidatesEveryLine)
+{
+    Cache c("t", CacheParams{1024, 4, 64, 1});
+    for (uint32_t a = 0; a < 1024; a += 64)
+        c.access(a, true);
+    c.flush();
+    for (uint32_t a = 0; a < 1024; a += 64)
+        EXPECT_FALSE(c.probe(a));
+}
+
 TEST(Hierarchy, LatencyComposition)
 {
     HierarchyParams p;
@@ -136,6 +336,29 @@ TEST(Hierarchy, SharedL2)
     const uint32_t lat = b.accessLatency(0x5000, false);
     EXPECT_EQ(lat, p.l1.hit_latency + p.l2.hit_latency);
     EXPECT_EQ(b.dramAccesses(), 0u);
+}
+
+TEST(Hierarchy, SharedL2ReportsSharedCounters)
+{
+    HierarchyParams p;
+    p.l2 = {16384, 4, 64, 10};
+    Cache shared("l2", p.l2);
+    MemHierarchy a(p, &shared);
+    MemHierarchy b(p, &shared);
+    EXPECT_EQ(&a.l2(), &shared);
+    EXPECT_EQ(&std::as_const(b).l2(), &shared);
+
+    a.accessLatency(0x5000, true); // L2 miss
+    b.accessLatency(0x5000, false); // L2 hit
+    b.accessLatency(0x9000, false); // L2 miss
+    EXPECT_EQ(shared.hits(), 1u);
+    EXPECT_EQ(shared.misses(), 2u);
+
+    StatsRegistry registry;
+    b.registerStats(registry, "core1.");
+    EXPECT_EQ(registry.value("core1.l2.hits"), 1.0);
+    EXPECT_EQ(registry.value("core1.l2.misses"), 2.0);
+    EXPECT_EQ(registry.value("core1.l1.misses"), 2.0);
 }
 
 TEST(Hierarchy, NextLinePrefetcherHelpsStreams)

@@ -10,7 +10,9 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <map>
 #include <sstream>
+#include <unordered_map>
 #include <vector>
 
 #include "util/debug.hh"
@@ -61,6 +63,33 @@ TEST(SlotPool, ResetClearsBookings)
     EXPECT_EQ(pool.acquire(0), 0u);
 }
 
+TEST(SlotPool, CapacityLimits)
+{
+    // Zero capacity books like one: the first booking fills a cycle.
+    SlotPool zero(0);
+    EXPECT_EQ(zero.acquire(5), 5u);
+    EXPECT_EQ(zero.acquire(5), 6u);
+
+    SlotPool widest(SlotPool::MaxCapacity);
+    for (unsigned i = 0; i < SlotPool::MaxCapacity; ++i)
+        ASSERT_EQ(widest.acquire(3), 3u);
+    EXPECT_EQ(widest.acquire(3), 4u);
+    EXPECT_THROW(SlotPool(SlotPool::MaxCapacity + 1), FatalError);
+}
+
+TEST(SlotPool, ResetAfterGrowth)
+{
+    // 100k bookings on one full span grow the window well past its
+    // initial size; reset() must still leave an empty pool.
+    SlotPool pool(1);
+    for (uint64_t i = 0; i < 100'000; ++i)
+        ASSERT_EQ(pool.acquire(0), i);
+    pool.reset();
+    EXPECT_EQ(pool.acquire(50'000), 50'000u);
+    EXPECT_EQ(pool.acquire(0), 0u);
+    EXPECT_EQ(pool.acquire(0), 1u);
+}
+
 TEST(SlotPool, DenseBurstDrains)
 {
     SlotPool pool(4);
@@ -109,6 +138,201 @@ TEST(SlotPool, LongFullSpanStaysFast)
     SlotPool pool(2);
     for (uint64_t i = 0; i < 200'000; ++i)
         ASSERT_EQ(pool.acquire(7), 7 + i / 2);
+}
+
+// ---------------------------------------------------------------------
+// SlotPool against the hash-map implementation it replaced, kept here
+// verbatim (save the class name) as the booking oracle.
+// ---------------------------------------------------------------------
+
+/** A resource with fixed per-cycle capacity. */
+class HashMapSlotPool
+{
+  public:
+    explicit HashMapSlotPool(unsigned capacity) : capacity_(capacity) {}
+
+    /**
+     * Book one slot at the first cycle >= ready with spare capacity.
+     * @return the booked cycle.
+     */
+    uint64_t
+    acquire(uint64_t ready)
+    {
+        const uint64_t cycle = skipFull(ready);
+        unsigned &count = used_[cycle];
+        ++count;
+        // Saturated cycles get a skip link so later requests jump the
+        // whole full span instead of walking it cycle by cycle (a
+        // runaway region held only by the watchdog would otherwise
+        // make the walk quadratic in the booking count).
+        if (count >= capacity_)
+            next_free_[cycle] = cycle + 1;
+        maybePrune(ready);
+        return cycle;
+    }
+
+    unsigned capacity() const { return capacity_; }
+
+    void
+    reset()
+    {
+        used_.clear();
+        next_free_.clear();
+    }
+
+  private:
+    /** First cycle >= @p cycle that is not fully booked, following
+     *  skip links with path compression (bookings never release, so
+     *  a link can only become stale in the conservative direction). */
+    uint64_t
+    skipFull(uint64_t cycle)
+    {
+        auto it = next_free_.find(cycle);
+        while (it != next_free_.end()) {
+            const auto chase = next_free_.find(it->second);
+            if (chase == next_free_.end()) {
+                cycle = it->second;
+                break;
+            }
+            it->second = chase->second; // path halving
+            cycle = chase->second;
+            it = next_free_.find(cycle);
+        }
+        return cycle;
+    }
+
+    void
+    maybePrune(uint64_t ready)
+    {
+        // Requests are approximately monotone; bookkeeping far behind
+        // the current horizon can be dropped. The guard band keeps
+        // occasional out-of-order requests accurate. The predicate
+        // erase drops exactly the keys the old ordered-map range
+        // erase did, without paying red-black-tree rebalancing on
+        // every acquire().
+        if (used_.size() < 65536)
+            return;
+        const uint64_t floor = ready > 16384 ? ready - 16384 : 0;
+        std::erase_if(used_,
+                      [floor](const auto &kv) { return kv.first < floor; });
+        std::erase_if(next_free_,
+                      [floor](const auto &kv) { return kv.first < floor; });
+    }
+
+    unsigned capacity_;
+    std::unordered_map<uint64_t, unsigned> used_;
+    /** cycle -> next possibly-free cycle, for fully booked cycles. */
+    std::unordered_map<uint64_t, uint64_t> next_free_;
+};
+
+/** Fixed-seed xorshift64, so every run replays the same requests. */
+class XorShift
+{
+  public:
+    explicit XorShift(uint64_t seed) : x_(seed) {}
+
+    uint64_t
+    next()
+    {
+        x_ ^= x_ << 13;
+        x_ ^= x_ >> 7;
+        x_ ^= x_ << 17;
+        return x_;
+    }
+
+    /** Uniform-ish in [0, n). */
+    uint64_t below(uint64_t n) { return next() % n; }
+
+  private:
+    uint64_t x_;
+};
+
+/**
+ * Feed the same request stream to both pools and count bookings that
+ * differ (stopping at the first, so a failure names one request).
+ * @p next_ready returns the next request given the largest cycle
+ * booked so far.
+ */
+template <typename NextReady>
+uint64_t
+compareWithOracle(unsigned capacity, uint64_t acquires,
+                  NextReady next_ready)
+{
+    SlotPool pool(capacity);
+    HashMapSlotPool oracle(capacity);
+    uint64_t max_booked = 0;
+    for (uint64_t i = 0; i < acquires; ++i) {
+        const uint64_t ready = next_ready(max_booked);
+        const uint64_t got = pool.acquire(ready);
+        const uint64_t want = oracle.acquire(ready);
+        if (got != want) {
+            ADD_FAILURE() << "capacity " << capacity << " request " << i
+                          << " ready " << ready << ": booked " << got
+                          << ", oracle booked " << want;
+            return i + 1;
+        }
+        max_booked = std::max(max_booked, got);
+    }
+    return acquires;
+}
+
+TEST(SlotPool, MatchesHashMapReference)
+{
+    // Four request shapes, each long enough to cross the 65,536-cycle
+    // forget threshold, at capacities 1-4: >= 1M acquires in all.
+    constexpr uint64_t PerRun = 70'000;
+    uint64_t total = 0;
+    for (unsigned capacity = 1; capacity <= 4; ++capacity) {
+        XorShift rng(0x9e3779b97f4a7c15ull * capacity);
+
+        // Dense, nearly monotone: the OoO core's shape.
+        uint64_t clock = 0;
+        total += compareWithOracle(capacity, PerRun, [&](uint64_t) {
+            clock += rng.below(3) == 0;
+            return clock + rng.below(200);
+        });
+
+        // The same, plus requests far below the running maximum:
+        // half straddle the 16,384-cycle guard band (the forget
+        // floor must sit exactly where the oracle's does), half land
+        // deeper in dropped history, below the window, in the spill.
+        clock = 0;
+        total += compareWithOracle(capacity, PerRun, [&](uint64_t max) {
+            clock += 1;
+            if (rng.below(64) != 0 || max < 60'000)
+                return clock + rng.below(100);
+            if (rng.below(2) == 0)
+                return max - 16'384 - 512 + rng.below(1'024);
+            return max - 16'385 - rng.below(40'000);
+        });
+
+        // Sparse bookings thousands of cycles apart, with a few
+        // stragglers behind them: window slides, spills, and
+        // bookings inside the spill.
+        clock = 0;
+        total += compareWithOracle(capacity, PerRun, [&](uint64_t) {
+            const uint64_t r = rng.below(16);
+            if (r < 10)
+                clock += 1'000 + rng.below(8'000);
+            if (r == 15 && clock > 30'000)
+                return clock - rng.below(30'000);
+            return clock;
+        });
+
+        // Constant-ready bursts: long fully booked spans that the
+        // search must jump, then a jump ahead.
+        clock = 0;
+        uint64_t left = 0;
+        total += compareWithOracle(capacity, PerRun, [&](uint64_t) {
+            if (left == 0) {
+                left = 1 + rng.below(4'000);
+                clock += rng.below(4'000);
+            }
+            --left;
+            return clock;
+        });
+    }
+    EXPECT_GE(total, 1'000'000u);
 }
 
 // ---------------------------------------------------------------------
