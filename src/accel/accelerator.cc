@@ -70,29 +70,10 @@ Accelerator::configure(const AcceleratorConfig &config)
         inst.lsu = std::make_unique<mem::LoadStoreUnit>(*memory_,
                                                         hierarchy_, ports_);
     }
-    // Flat per-PE busy table: mapped slots key by virtual position,
-    // unmapped slots get one private key each past pe_invalid_base_.
-    int max_rc = -1;
-    for (const PeSlot &slot : config_.slots)
-        if (slot.pos.valid())
-            max_rc = std::max(max_rc,
-                              slot.pos.r * config_.cols + slot.pos.c);
-    pe_invalid_base_ = size_t(max_rc + 1);
-    pe_free_.assign(instances_.size(),
-                    std::vector<uint64_t>(pe_invalid_base_ +
-                                              config_.slots.size(),
-                                          0));
+    buildPlan();
     iter_out_.assign(config_.slots.size(), 0);
     iter_done_.assign(config_.slots.size(), 0);
     iter_taken_.assign(config_.slots.size(), 0);
-    slot_imm_.resize(config_.slots.size());
-    for (size_t i = 0; i < config_.slots.size(); ++i) {
-        const PeSlot &slot = config_.slots[i];
-        auto ov = config_.imm_overrides.find(slot.node);
-        slot_imm_[i] =
-            ov != config_.imm_overrides.end() ? ov->second
-                                              : slot.inst.imm;
-    }
     iter_group_done_.clear();
     if (prof_)
         prof_slot_.assign(config_.slots.size(), ProfSlot{});
@@ -128,21 +109,123 @@ Accelerator::injectFaults(const FaultPlane &plane)
     fault_plane_ = plane;
 }
 
-Coord
-Accelerator::physicalPos(Coord pos, size_t inst_index) const
+void
+Accelerator::buildPlan()
 {
-    if (!pos.valid())
-        return pos;
-    Coord p = pos;
-    // Virtual rows fold onto the physical grid (time-multiplexing);
-    // tiled instances are offset by their origin.
-    if (config_.time_multiplex > 1 && params_.rows > 0)
-        p.r %= params_.rows;
-    if (inst_index < config_.instances.size()) {
-        p.r += config_.instances[inst_index].origin.r;
-        p.c += config_.instances[inst_index].origin.c;
+    const size_t n = config_.slots.size();
+    // Mapped slots key the per-PE busy table by virtual position;
+    // unmapped slots get one private key each past the mapped ones.
+    int max_rc = -1;
+    for (const PeSlot &slot : config_.slots)
+        if (slot.pos.valid())
+            max_rc = std::max(max_rc,
+                              slot.pos.r * config_.cols + slot.pos.c);
+    const size_t invalid_base = size_t(max_rc + 1);
+    pe_keys_ = invalid_base + n;
+    pe_free_.assign(instances_.size() * pe_keys_, 0);
+
+    int max_bus = -1;
+    auto route = [&](NodeId src, const PeSlot &to) {
+        Route r;
+        if (src == NoNode)
+            return r;
+        r.src = int32_t(src);
+        const Coord from = config_.slots[size_t(src)].pos;
+        // Unmapped endpoints use the secondary data-forwarding bus
+        // (paper §3.3: mapping failures revert to a slower fallback).
+        if (!from.valid() || !to.pos.valid()) {
+            r.fallback = true;
+            r.latency = uint32_t(params_.fallback_bus_latency);
+            return r;
+        }
+        r.latency = ic_->latency(from, to.pos);
+        r.bus = ic_->busId(from, to.pos);
+        max_bus = std::max(max_bus, r.bus);
+        return r;
+    };
+
+    plan_.assign(n, SlotPlan{});
+    guard_routes_.clear();
+    for (size_t i = 0; i < n; ++i) {
+        const PeSlot &slot = config_.slots[i];
+        SlotPlan &sp = plan_[i];
+        sp.src1 = route(slot.src1, slot);
+        sp.src2 = route(slot.src2, slot);
+        sp.prev = route(slot.prev_dest_writer, slot);
+        sp.guard_begin = uint32_t(guard_routes_.size());
+        for (NodeId g : slot.guards)
+            guard_routes_.push_back(route(g, slot));
+        sp.guard_end = uint32_t(guard_routes_.size());
+        sp.pe_key = uint32_t(slot.pos.valid()
+                                 ? size_t(slot.pos.r * config_.cols +
+                                          slot.pos.c)
+                                 : invalid_base + i);
+        auto ov = config_.imm_overrides.find(slot.node);
+        sp.imm = ov != config_.imm_overrides.end() ? ov->second
+                                                   : slot.inst.imm;
+        sp.cls = slot.inst.cls();
+        sp.latency = uint64_t(slot.op_latency);
+        // A PE is busy for its operation's service time; time a load
+        // spends waiting on the memory system is LS-entry time, not
+        // PE switching activity.
+        sp.busy = sp.cls == OpClass::Load ? 2 : sp.latency;
+        sp.fp = sp.cls == OpClass::FpAlu || sp.cls == OpClass::FpMul ||
+                sp.cls == OpClass::FpDiv;
     }
-    return p;
+    for (auto &inst : instances_)
+        inst.bus_free.assign(size_t(max_bus + 1), 0);
+
+    // Physical PE per (instance, slot): virtual rows fold onto the
+    // physical grid (time-multiplexing); tiled instances are offset
+    // by their origin.
+    phys_.resize(instances_.size() * n);
+    for (size_t k = 0; k < instances_.size(); ++k) {
+        const Coord origin = config_.instances[k].origin;
+        for (size_t i = 0; i < n; ++i) {
+            Coord p = config_.slots[i].pos;
+            if (p.valid()) {
+                if (config_.time_multiplex > 1 && params_.rows > 0)
+                    p.r %= params_.rows;
+                p.r += origin.r;
+                p.c += origin.c;
+            }
+            phys_[k * n + i] = p;
+        }
+    }
+
+    live_outs_.assign(config_.live_outs.begin(), config_.live_outs.end());
+}
+
+void
+Accelerator::resolveFaults()
+{
+    fault_masks_.clear();
+    if (fault_plane_.stuck_pes.empty() && fault_plane_.dead_links.empty())
+        return;
+    const size_t n = config_.slots.size();
+    fault_masks_.resize(instances_.size() * n);
+    for (size_t k = 0; k < instances_.size(); ++k) {
+        const Coord *phys = &phys_[k * n];
+        for (size_t i = 0; i < n; ++i) {
+            if (!phys[i].valid())
+                continue;
+            FaultMask &m = fault_masks_[k * n + i];
+            for (const PeStuckFault &f : fault_plane_.stuck_pes)
+                if (phys[i] == f.pos)
+                    m.pe ^= f.xor_mask;
+            auto linkXor = [&](NodeId src) -> uint32_t {
+                if (src == NoNode || !phys[size_t(src)].valid())
+                    return 0;
+                uint32_t x = 0;
+                for (const LinkFault &f : fault_plane_.dead_links)
+                    if (phys[size_t(src)] == f.from && phys[i] == f.to)
+                        x ^= f.xor_mask;
+                return x;
+            };
+            m.src1 = linkXor(config_.slots[i].src1);
+            m.src2 = linkXor(config_.slots[i].src2);
+        }
+    }
 }
 
 std::vector<Coord>
@@ -221,11 +304,16 @@ Accelerator::runIteration(Instance &inst, AccelRunResult &result)
     const size_t n = config_.slots.size();
     const uint64_t iter_start = inst.next_floor;
     const size_t inst_index = size_t(&inst - instances_.data());
-    auto &pe_free = pe_free_[inst_index];
-    const bool has_faults = !fault_plane_.empty();
+    uint64_t *const pe_free = &pe_free_[inst_index * pe_keys_];
+    const Coord *const phys = &phys_[inst_index * n];
+    const FaultMask *const masks =
+        fault_masks_.empty() ? nullptr : &fault_masks_[inst_index * n];
     // Global iteration index within this run (all tiles), the key the
     // single-event-upset model fires on.
     const uint64_t global_iter = result.iterations;
+    bool upset_now = false;
+    for (const TransientFault &f : fault_plane_.transients)
+        upset_now = upset_now || f.iteration == global_iter;
 
     // Reused scratch (sized in configure): no allocation per
     // iteration in the hot loop.
@@ -243,13 +331,13 @@ Accelerator::runIteration(Instance &inst, AccelRunResult &result)
     // attributeIteration can walk the critical path backwards. For
     // the third (guard / forwarded-old-value) input only the
     // dominating arrival matters.
-    auto recordEdge = [&](NodeId node, int operand, NodeId src,
+    auto recordEdge = [&](size_t node, int operand, int32_t src,
                           uint64_t t0, uint64_t arr, bool noc) {
-        ProfSlot &ps = prof_slot_[size_t(node)];
+        ProfSlot &ps = prof_slot_[node];
         const int e = operand < 2 ? operand : 2;
         if (e == 2 && ps.e[2].used && ps.e[2].arr >= arr)
             return;
-        ps.e[size_t(e)] = ProfEdge{int32_t(src), t0, arr, noc, true};
+        ps.e[size_t(e)] = ProfEdge{src, t0, arr, noc, true};
     };
 
     auto groupDone = [&](int group) -> uint64_t * {
@@ -259,75 +347,60 @@ Accelerator::runIteration(Instance &inst, AccelRunResult &result)
         return nullptr;
     };
 
-    // Data transfer from a producer PE to this slot's PE, including
-    // NoC bus contention; samples the edge latency counter.
-    auto arrival = [&](NodeId src, const PeSlot &slot,
+    // Data transfer along a planned route into slot i, including NoC
+    // bus contention; samples the edge latency counter.
+    auto arrival = [&](const Route &rt, size_t i,
                        int operand) -> uint64_t {
-        const Coord from = config_.slots[size_t(src)].pos;
-        const uint64_t t0 = done[size_t(src)];
-        // Unmapped endpoints use the secondary data-forwarding bus
-        // (paper §3.3: mapping failures revert to a slower fallback).
-        if (!from.valid() || !slot.pos.valid()) {
-            const uint64_t arr =
-                t0 + uint64_t(params_.fallback_bus_latency);
-            if (operand == 0)
-                edge_latency1_[size_t(slot.node)].sample(double(arr - t0));
-            else if (operand == 1)
-                edge_latency2_[size_t(slot.node)].sample(double(arr - t0));
-            if (prof_) {
-                recordEdge(slot.node, operand, src, t0, arr, true);
-                ++prof_->fallback_transfers;
-            }
-            return arr;
-        }
-        const uint32_t base = ic_->latency(from, slot.pos);
-        const int bus = ic_->busId(from, slot.pos);
+        const uint64_t t0 = done[size_t(rt.src)];
         uint64_t start = t0;
-        if (bus >= 0) {
-            if (size_t(bus) >= inst.bus_free.size())
-                inst.bus_free.resize(size_t(bus) + 64, 0);
-            uint64_t &free = inst.bus_free[size_t(bus)];
+        if (rt.fallback) {
+            if (prof_)
+                ++prof_->fallback_transfers;
+        } else if (rt.bus >= 0) {
+            uint64_t &free = inst.bus_free[size_t(rt.bus)];
             start = std::max(t0, free);
             free = start + 1;
             ++result.noc_transfers;
             if (prof_) {
-                prof::LinkStats &ls = prof_->links[bus];
+                prof::LinkStats &ls = prof_->links[rt.bus];
                 ++ls.transfers;
                 ls.wait_cycles += start - t0;
-                if (!prof_->link_coords.count(bus)) {
-                    const Coord anchor = ic_->busCoord(bus);
+                if (!prof_->link_coords.count(rt.bus)) {
+                    const Coord anchor = ic_->busCoord(rt.bus);
                     prof_->link_coords.emplace(
-                        bus, std::make_pair(anchor.r, anchor.c));
+                        rt.bus, std::make_pair(anchor.r, anchor.c));
                 }
             }
         } else {
             ++result.local_transfers;
         }
-        const uint64_t arr = start + base;
+        const uint64_t arr = start + rt.latency;
         if (operand == 0)
-            edge_latency1_[size_t(slot.node)].sample(double(arr - t0));
+            edge_latency1_[i].sample(double(arr - t0));
         else if (operand == 1)
-            edge_latency2_[size_t(slot.node)].sample(double(arr - t0));
+            edge_latency2_[i].sample(double(arr - t0));
         if (prof_) {
-            recordEdge(slot.node, operand, src, t0, arr, bus >= 0);
-            const Coord phys = physicalPos(slot.pos, inst_index);
-            if (phys.valid() && prof_->inGrid(phys.r, phys.c))
-                ++prof_->pe_traffic[prof_->index(phys.r, phys.c)];
+            recordEdge(i, operand, rt.src, t0, arr,
+                       rt.fallback || rt.bus >= 0);
+            if (!rt.fallback && prof_->inGrid(phys[i].r, phys[i].c))
+                ++prof_->pe_traffic[prof_->index(phys[i].r, phys[i].c)];
         }
         return arr;
     };
 
     for (size_t i = 0; i < n; ++i) {
         const PeSlot &slot = config_.slots[i];
+        const SlotPlan &sp = plan_[i];
         const Op op = slot.inst.op;
 
         // Guards: the control network disables skipped PEs.
         bool active = true;
         uint64_t guard_arr = iter_start;
-        for (NodeId g : slot.guards) {
-            if (taken[size_t(g)])
+        for (uint32_t g = sp.guard_begin; g < sp.guard_end; ++g) {
+            const Route &rt = guard_routes_[g];
+            if (taken[size_t(rt.src)])
                 active = false;
-            guard_arr = std::max(guard_arr, arrival(g, slot, 2));
+            guard_arr = std::max(guard_arr, arrival(rt, i, 2));
         }
 
         if (!active) {
@@ -335,9 +408,9 @@ Accelerator::runIteration(Instance &inst, AccelRunResult &result)
             // dependency) so downstream consumers see it.
             uint32_t old_val = 0;
             uint64_t old_avail = iter_start;
-            if (slot.prev_dest_writer != NoNode) {
-                old_val = out[size_t(slot.prev_dest_writer)];
-                old_avail = arrival(slot.prev_dest_writer, slot, 2);
+            if (sp.prev.src >= 0) {
+                old_val = out[size_t(sp.prev.src)];
+                old_avail = arrival(sp.prev, i, 2);
             } else if (slot.prev_dest_live_in >= 0) {
                 old_val = inst.regs[size_t(slot.prev_dest_live_in)];
                 old_avail = std::max(
@@ -359,10 +432,10 @@ Accelerator::runIteration(Instance &inst, AccelRunResult &result)
         }
 
         // Operand values and arrival cycles.
-        auto operand = [&](NodeId src, int live_in,
+        auto operand = [&](const Route &rt, int live_in,
                            int idx) -> std::pair<uint32_t, uint64_t> {
-            if (src != NoNode)
-                return {out[size_t(src)], arrival(src, slot, idx)};
+            if (rt.src >= 0)
+                return {out[size_t(rt.src)], arrival(rt, i, idx)};
             if (live_in >= 0) {
                 return {inst.regs[size_t(live_in)],
                         std::max(iter_start,
@@ -370,68 +443,51 @@ Accelerator::runIteration(Instance &inst, AccelRunResult &result)
             }
             return {0u, iter_start};
         };
-        auto [v1, a1] = operand(slot.src1, slot.live_in1, 0);
-        auto [v2, a2] = operand(slot.src2, slot.live_in2, 1);
+        auto [v1, a1] = operand(sp.src1, slot.live_in1, 0);
+        auto [v2, a2] = operand(sp.src2, slot.live_in2, 1);
 
         // Installed hardware defects corrupt the values flowing
         // through the faulty resources (see fault_plane.hh).
         uint32_t fault_xor = 0;
-        if (has_faults) {
-            const Coord phys = physicalPos(slot.pos, inst_index);
-            for (const PeStuckFault &f : fault_plane_.stuck_pes)
-                if (phys.valid() && phys == f.pos)
-                    fault_xor ^= f.xor_mask;
+        if (masks) {
+            const FaultMask &m = masks[i];
+            fault_xor = m.pe;
+            if (m.src1) {
+                v1 ^= m.src1;
+                ++result.faults_fired;
+            }
+            if (m.src2) {
+                v2 ^= m.src2;
+                ++result.faults_fired;
+            }
+        }
+        if (upset_now) {
             for (const TransientFault &f : fault_plane_.transients)
                 if (f.slot == i && f.iteration == global_iter)
                     fault_xor ^= f.xor_mask;
-            auto linkXor = [&](NodeId src) -> uint32_t {
-                if (src == NoNode || !phys.valid())
-                    return 0;
-                const Coord from = physicalPos(
-                    config_.slots[size_t(src)].pos, inst_index);
-                uint32_t x = 0;
-                for (const LinkFault &f : fault_plane_.dead_links)
-                    if (from.valid() && from == f.from && phys == f.to)
-                        x ^= f.xor_mask;
-                return x;
-            };
-            if (const uint32_t x = linkXor(slot.src1)) {
-                v1 ^= x;
-                ++result.faults_fired;
-            }
-            if (const uint32_t x = linkXor(slot.src2)) {
-                v2 ^= x;
-                ++result.faults_fired;
-            }
-            if (fault_xor) {
-                ++result.faults_fired;
-                // A faulty PE corrupts what it produces: the branch
-                // comparison input, the store data, or (below) the
-                // computed result.
-                if (slot.inst.cls() == OpClass::Branch)
-                    v1 ^= fault_xor;
-                else if (slot.inst.cls() == OpClass::Store)
-                    v2 ^= fault_xor;
-            }
+        }
+        if (fault_xor) {
+            ++result.faults_fired;
+            // A faulty PE corrupts what it produces: the branch
+            // comparison input, the store data, or (below) the
+            // computed result.
+            if (sp.cls == OpClass::Branch)
+                v1 ^= fault_xor;
+            else if (sp.cls == OpClass::Store)
+                v2 ^= fault_xor;
         }
 
         uint64_t ready = std::max({a1, a2, guard_arr, iter_start});
         // The PE executes one instruction per iteration; pipelined
         // iterations (and time-multiplexed co-residents) reuse it
         // after the issue interval.
-        const size_t pe_key =
-            slot.pos.valid()
-                ? size_t(slot.pos.r * config_.cols + slot.pos.c)
-                : pe_invalid_base_ + i;
-        uint64_t &pe_next = pe_free[pe_key];
+        uint64_t &pe_next = pe_free[sp.pe_key];
         ready = std::max(ready, pe_next);
 
-        const int32_t imm = slot_imm_[i];
-
-        switch (slot.inst.cls()) {
+        switch (sp.cls) {
           case OpClass::Branch:
             taken[i] = riscv::branchEval(op, v1, v2);
-            if (has_faults && i == n - 1 && !taken[i]) {
+            if (i == n - 1 && !taken[i]) {
                 // Stuck control line: the closing branch always reads
                 // taken, so the loop can never exit (induced hang).
                 // Once engaged the line stays stuck — latch it so the
@@ -446,11 +502,11 @@ Accelerator::runIteration(Instance &inst, AccelRunResult &result)
                     }
                 }
             }
-            done[i] = ready + uint64_t(slot.op_latency);
+            done[i] = ready + sp.latency;
             break;
 
           case OpClass::Load: {
-            const uint32_t addr = v1 + uint32_t(imm);
+            const uint32_t addr = v1 + uint32_t(sp.imm);
             ++result.loads;
             if (slot.forward_from_store != NoNode) {
                 // Static store->load forwarding edge (paper §4.2):
@@ -492,22 +548,22 @@ Accelerator::runIteration(Instance &inst, AccelRunResult &result)
           }
 
           case OpClass::Store: {
-            const uint32_t addr = v1 + uint32_t(imm);
+            const uint32_t addr = v1 + uint32_t(sp.imm);
             inst.lsu->store(unsigned(i), addr, v2, op, ready);
             out[i] = v2; // visible to static forwarding consumers
-            done[i] = ready + uint64_t(slot.op_latency);
+            done[i] = ready + sp.latency;
             ++result.stores;
             break;
           }
 
           default:
-            out[i] = riscv::aluEval(op, v1, v2, imm, slot.inst.pc);
-            done[i] = ready + uint64_t(slot.op_latency);
+            out[i] = riscv::aluEval(op, v1, v2, sp.imm, slot.inst.pc);
+            done[i] = ready + sp.latency;
             break;
         }
 
-        if (fault_xor && slot.inst.cls() != OpClass::Branch &&
-            slot.inst.cls() != OpClass::Store) {
+        if (fault_xor && sp.cls != OpClass::Branch &&
+            sp.cls != OpClass::Store) {
             out[i] ^= fault_xor;
         }
 
@@ -515,26 +571,17 @@ Accelerator::runIteration(Instance &inst, AccelRunResult &result)
         // Pipelined PE: a new iteration's operation can issue after
         // the issue interval, not only after full completion.
         pe_next = ready + params_.pe_issue_interval;
-        // Activity accounting: a PE is busy for its operation's
-        // service time; time a load spends waiting on the memory
-        // system is LS-entry time, not PE switching activity.
-        const OpClass cls = slot.inst.cls();
-        const uint64_t busy =
-            cls == OpClass::Load ? 2 : uint64_t(slot.op_latency);
-        result.pe_busy_cycles += busy;
-        if (cls == OpClass::FpAlu || cls == OpClass::FpMul ||
-            cls == OpClass::FpDiv) {
-            result.fp_busy_cycles += busy;
-        }
+        result.pe_busy_cycles += sp.busy;
+        if (sp.fp)
+            result.fp_busy_cycles += sp.busy;
         if (prof_) {
             ProfSlot &ps = prof_slot_[i];
             ps.ready = ready;
             ps.done = done[i];
-            ps.mem = cls == OpClass::Load || cls == OpClass::Store;
-            const Coord phys = physicalPos(slot.pos, inst_index);
-            if (phys.valid() && prof_->inGrid(phys.r, phys.c)) {
-                const size_t pidx = prof_->index(phys.r, phys.c);
-                prof_->pe_busy[pidx] += busy;
+            ps.mem = sp.cls == OpClass::Load || sp.cls == OpClass::Store;
+            if (prof_->inGrid(phys[i].r, phys[i].c)) {
+                const size_t pidx = prof_->index(phys[i].r, phys[i].c);
+                prof_->pe_busy[pidx] += sp.busy;
                 prof_->pe_wait[pidx] += ready - iter_start;
                 ++prof_->pe_ops[pidx];
             }
@@ -548,7 +595,7 @@ Accelerator::runIteration(Instance &inst, AccelRunResult &result)
         end = std::max(end, done[i]);
 
     // Latch live-outs for the next iteration.
-    for (const auto &[reg, writer] : config_.live_outs) {
+    for (const auto &[reg, writer] : live_outs_) {
         inst.regs[size_t(reg)] = out[size_t(writer)];
         inst.reg_avail[size_t(reg)] = done[size_t(writer)];
     }
@@ -671,8 +718,11 @@ Accelerator::run(riscv::ArchState &state, uint64_t max_iterations,
         inst.iterations = 0;
         inst.done = false;
         inst.prof_compute = inst.prof_noc = inst.prof_mem = 0;
-        std::fill(pe_free_[k].begin(), pe_free_[k].end(), 0);
     }
+    std::fill(pe_free_.begin(), pe_free_.end(), 0);
+    // The fault plane may have changed since configure() (campaigns
+    // inject and clear between runs); resolve it once per run.
+    resolveFaults();
 
     // An instance whose staggered start already fails the loop
     // condition must execute zero iterations: evaluate the closing
@@ -694,7 +744,7 @@ Accelerator::run(riscv::ArchState &state, uint64_t max_iterations,
         const uint32_t v2 =
             entryOperand(inst, closing.src2, closing.live_in2);
         bool taken = riscv::branchEval(closing.inst.op, v1, v2);
-        if (!taken && !fault_plane_.empty()) {
+        if (!taken) {
             // A stuck control line pins the closing branch to taken
             // from the very start of the run too — otherwise an
             // induced hang would be silently cured at the next epoch

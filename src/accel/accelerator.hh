@@ -176,8 +176,8 @@ class Accelerator
         std::array<uint32_t, riscv::NumUnifiedRegs> regs{};
         std::array<uint64_t, riscv::NumUnifiedRegs> reg_avail{};
         std::unique_ptr<mem::LoadStoreUnit> lsu;
-        /** Next-free cycle per NoC bus id, grown on first use; a
-         *  dense array probed once per transfer in the hot loop. */
+        /** Next-free cycle per NoC bus id, sized in configure() to the
+         *  largest bus any route uses. */
         std::vector<uint64_t> bus_free;
         uint64_t next_floor = 0;
         uint64_t last_end = 0;
@@ -214,6 +214,46 @@ class Accelerator
         std::array<ProfEdge, 3> e; ///< Operand 0/1, max guard input.
     };
 
+    /**
+     * A transfer into a slot, fixed by the configuration: the
+     * producer, the link latency and the shared bus it occupies.
+     */
+    struct Route
+    {
+        int32_t src = -1;      ///< Producer slot; -1 = no producer.
+        uint32_t latency = 0;  ///< Transfer cycles before bus wait.
+        int32_t bus = -1;      ///< Shared NoC bus id; -1 = direct links.
+        bool fallback = false; ///< Unmapped endpoint: secondary bus.
+    };
+
+    /**
+     * The execution plan of one slot: everything configure() can
+     * resolve once so the device loop keeps only dynamic work.
+     */
+    struct SlotPlan
+    {
+        Route src1;
+        Route src2;
+        Route prev;               ///< Forwarded old destination value.
+        uint32_t guard_begin = 0; ///< Guard routes [begin, end) in
+        uint32_t guard_end = 0;   ///< guard_routes_.
+        uint32_t pe_key = 0;      ///< Column in the pe_free_ rows.
+        int32_t imm = 0;          ///< Immediate, overrides applied.
+        uint64_t latency = 0;     ///< Integer op latency.
+        uint64_t busy = 0;        ///< PE busy cycles per execution.
+        riscv::OpClass cls{};
+        bool fp = false;          ///< Busy cycles count as FP activity.
+    };
+
+    /** Permanent defects (stuck PEs, dead links) resolved onto one
+     *  slot of one tile instance. */
+    struct FaultMask
+    {
+        uint32_t pe = 0;   ///< XOR on the slot's produced value.
+        uint32_t src1 = 0; ///< XOR on operand 1 as it arrives.
+        uint32_t src2 = 0; ///< XOR on operand 2 as it arrives.
+    };
+
     /** One iteration of one instance; returns loop-continue. */
     bool runIteration(Instance &inst, AccelRunResult &result);
 
@@ -225,8 +265,13 @@ class Accelerator
      */
     void attributeIteration(Instance &inst, uint64_t lo, uint64_t end);
 
-    /** Physical PE a slot executes on for a given tile instance. */
-    ic::Coord physicalPos(ic::Coord pos, size_t inst_index) const;
+    /** Build the execution plan of config_ (routes, keys, classes,
+     *  physical positions). */
+    void buildPlan();
+
+    /** Resolve the installed stuck PEs and dead links onto
+     *  fault_masks_ (left empty when there are none). */
+    void resolveFaults();
 
     const AccelParams params_;
     mem::MainMemory *memory_; ///< Rebindable (see rebindMemory).
@@ -241,15 +286,22 @@ class Accelerator
     prof::AccelProfile *prof_ = nullptr;
     std::vector<ProfSlot> prof_slot_; ///< Sized with the config.
 
-    /** Per-PE busy tracking keyed by flattened virtual position
-     *  (pipelining resource constraint; time-multiplexed nodes share
-     *  a key). Keys above pe_invalid_base_ are the per-slot fallback
-     *  keys for unmapped nodes. */
-    std::vector<std::vector<uint64_t>> pe_free_; // [instance][key]
-    size_t pe_invalid_base_ = 0;
-    /** Per-slot effective immediate (imm_overrides pre-resolved at
-     *  configure time so the hot loop skips the map lookup). */
-    std::vector<int32_t> slot_imm_;
+    // The execution plan (see SlotPlan). Flat tables whose capacity is
+    // reused across configure() calls.
+    std::vector<SlotPlan> plan_;
+    std::vector<Route> guard_routes_;
+    /** Physical PE of each slot: [instance * slots + slot]. */
+    std::vector<ic::Coord> phys_;
+    /** [instance * slots + slot]; empty without permanent defects. */
+    std::vector<FaultMask> fault_masks_;
+    std::vector<std::pair<int, int32_t>> live_outs_; ///< (reg, writer)
+
+    /** Per-PE busy tracking (pipelining resource constraint), one row
+     *  of pe_keys_ per instance. Mapped slots key by flattened virtual
+     *  position (time-multiplexed nodes share a key); unmapped slots
+     *  each get a private key past the mapped ones. */
+    std::vector<uint64_t> pe_free_;
+    size_t pe_keys_ = 0;
 
     // Per-iteration scratch, sized once in configure() and reused so
     // the per-cycle loop performs no heap allocation.

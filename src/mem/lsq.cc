@@ -36,7 +36,7 @@ void
 LoadStoreUnit::beginIteration()
 {
     store_buffer_.clear();
-    store_index_.clear();
+    in_seq_order_ = true;
     store_lo_ = UINT32_MAX;
     store_hi_ = 0;
 }
@@ -97,17 +97,14 @@ LoadStoreUnit::load(unsigned seq, uint32_t addr, Op op,
     ++loads_;
     LoadResult result;
 
-    // Store->load forwarding: find the youngest older buffered store
-    // (program order, i.e., lower seq) with an exact address match.
-    // The index holds buffer positions in push order, so the backward
-    // scan returns exactly what a full buffer walk taking the last
-    // match would.
+    // Store->load forwarding: the last-pushed buffered store that is
+    // older in program order (lower seq) with an exact address match.
     const PendingStore *hit = nullptr;
-    if (auto idx = store_index_.find(addr); idx != store_index_.end()) {
-        const auto &positions = idx->second;
-        for (auto it = positions.rbegin(); it != positions.rend(); ++it) {
-            if (store_buffer_[*it].seq < seq) {
-                hit = &store_buffer_[*it];
+    if (addr >= store_lo_ && addr <= store_hi_) {
+        for (auto it = store_buffer_.rbegin(); it != store_buffer_.rend();
+             ++it) {
+            if (it->addr == addr && it->seq < seq) {
+                hit = &*it;
                 break;
             }
         }
@@ -213,7 +210,8 @@ LoadStoreUnit::store(unsigned seq, uint32_t addr, uint32_t value, Op op,
                      uint64_t ready_cycle)
 {
     ++stores_;
-    store_index_[addr].push_back(uint32_t(store_buffer_.size()));
+    if (!store_buffer_.empty() && seq <= store_buffer_.back().seq)
+        in_seq_order_ = false;
     store_buffer_.push_back({seq, addr, value, op, ready_cycle});
     const unsigned width =
         (op == Op::Sb) ? 1 : (op == Op::Sh) ? 2 : 4;
@@ -227,10 +225,12 @@ LoadStoreUnit::commitStores()
 {
     // Stores commit in program order; each commit takes a port cycle
     // and writes through the hierarchy.
-    std::sort(store_buffer_.begin(), store_buffer_.end(),
-              [](const PendingStore &a, const PendingStore &b) {
-                  return a.seq < b.seq;
-              });
+    if (!in_seq_order_) {
+        std::sort(store_buffer_.begin(), store_buffer_.end(),
+                  [](const PendingStore &a, const PendingStore &b) {
+                      return a.seq < b.seq;
+                  });
+    }
     uint64_t last = 0;
     uint64_t prev_commit = 0;
     for (const auto &st : store_buffer_) {
@@ -242,7 +242,7 @@ LoadStoreUnit::commitStores()
         last = std::max(last, issue + latency);
     }
     store_buffer_.clear();
-    store_index_.clear();
+    in_seq_order_ = true;
     store_lo_ = UINT32_MAX;
     store_hi_ = 0;
     return last;

@@ -12,7 +12,6 @@
 #define MESA_MEM_LSQ_HH
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "mem/cache.hh"
@@ -150,15 +149,15 @@ class LoadStoreUnit
     MainMemory &mem_;
     MemHierarchy &hierarchy_;
     PortPool &ports_;
+    /** Buffered stores in push order; a load scans it backwards for
+     *  the newest older store at its address (a loop body buffers a
+     *  handful, so the scan beats any index kept per iteration). */
     std::vector<PendingStore> store_buffer_;
-    /**
-     * addr -> indices into store_buffer_ in buffer (push) order, so
-     * forwarding finds the newest matching store with one hash probe
-     * instead of walking every buffered store per load.
-     */
-    std::unordered_map<uint32_t, std::vector<uint32_t>> store_index_;
+    /** The buffer's seqs strictly increase in push order, as they do
+     *  when the device loop drives the unit: commit skips the sort. */
+    bool in_seq_order_ = true;
     /** Tight [min, max] byte range covered by buffered stores; lets
-     *  peek() skip the patch scan when the load cannot overlap. */
+     *  load() and peek() skip their scans when no store can match. */
     uint32_t store_lo_ = UINT32_MAX;
     uint32_t store_hi_ = 0;
     /** Per-entry latency averages indexed by LDFG seq (dense, small). */

@@ -486,6 +486,175 @@ TEST_F(LsuFixture, AmatCountersPerEntry)
     EXPECT_EQ(lsu.entryAmat(0), 0.0);
 }
 
+/**
+ * Brute-force model of the load/store unit: the store buffer is a
+ * plain list walked whole for every load, and timing comes from its
+ * own copy of the ports and hierarchy, driven by the same accesses.
+ */
+struct LsuReference
+{
+    struct Store
+    {
+        unsigned seq;
+        uint32_t addr;
+        uint32_t value;
+        Op op;
+        uint64_t ready;
+    };
+
+    MainMemory memory;
+    MemHierarchy hierarchy;
+    PortPool ports{2};
+    std::vector<Store> buffer;
+    uint64_t forwards = 0;
+    uint64_t invalidations = 0;
+
+    static unsigned
+    width(Op op)
+    {
+        return op == Op::Sb ? 1 : op == Op::Sh ? 2 : 4;
+    }
+
+    uint32_t
+    peek(unsigned seq, uint32_t addr, Op op) const
+    {
+        // Each byte of the access: memory, then every older store in
+        // push order overwriting it.
+        uint32_t raw = 0;
+        for (unsigned b = 0; b < 4; ++b) {
+            const uint32_t a = addr + b;
+            uint8_t byte = memory.read8(a);
+            for (const Store &st : buffer)
+                if (st.seq < seq && a >= st.addr &&
+                    a < st.addr + width(st.op))
+                    byte = uint8_t(st.value >> (8 * (a - st.addr)));
+            raw |= uint32_t(byte) << (8 * b);
+        }
+        switch (op) {
+          case Op::Lb: return uint32_t(int32_t(int8_t(raw)));
+          case Op::Lbu: return raw & 0xFF;
+          case Op::Lh: return uint32_t(int32_t(int16_t(raw)));
+          case Op::Lhu: return raw & 0xFFFF;
+          default: return raw;
+        }
+    }
+
+    LoadResult
+    load(unsigned seq, uint32_t addr, Op op, uint64_t ready)
+    {
+        const Store *hit = nullptr;
+        for (const Store &st : buffer)
+            if (st.addr == addr && st.seq < seq)
+                hit = &st; // the last pushed match wins
+        LoadResult r;
+        if (hit && (op == Op::Lw || op == Op::Flw) &&
+            (hit->op == Op::Sw || hit->op == Op::Fsw)) {
+            ++forwards;
+            r.value = hit->value;
+            r.forwarded = true;
+            r.invalidated = ready < hit->ready;
+            invalidations += r.invalidated;
+            r.done_cycle = std::max(ready, hit->ready) + 1;
+            return r;
+        }
+        if (hit) {
+            ++invalidations;
+            r.invalidated = true;
+            ready = std::max(ready, hit->ready);
+        }
+        r.value = peek(seq, addr, op);
+        const uint64_t issue = ports.acquire(ready);
+        r.done_cycle = issue + hierarchy.accessLatency(addr, false);
+        return r;
+    }
+
+    uint64_t
+    commit()
+    {
+        std::vector<Store> order = buffer;
+        std::stable_sort(order.begin(), order.end(),
+                         [](const Store &a, const Store &b) {
+                             return a.seq < b.seq;
+                         });
+        uint64_t last = 0, prev = 0;
+        for (const Store &st : order) {
+            const uint64_t issue = ports.acquire(std::max(st.ready, prev));
+            const uint32_t lat = hierarchy.accessLatency(st.addr, true);
+            for (unsigned b = 0; b < width(st.op); ++b)
+                memory.write8(st.addr + b, uint8_t(st.value >> (8 * b)));
+            prev = issue + 1;
+            last = std::max(last, issue + lat);
+        }
+        buffer.clear();
+        return last;
+    }
+};
+
+TEST_F(LsuFixture, MatchesBruteForceReference)
+{
+    LsuReference ref;
+    uint64_t rng = 0x9E3779B97F4A7C15ull;
+    const Op load_ops[] = {Op::Lb, Op::Lbu, Op::Lh, Op::Lhu, Op::Lw,
+                           Op::Flw};
+    const Op store_ops[] = {Op::Sb, Op::Sh, Op::Sw, Op::Fsw};
+    uint64_t clock = 0;
+    size_t forwarded = 0, invalidated = 0, out_of_order = 0;
+    for (int iter = 0; iter < 4000; ++iter) {
+        // A loop body: up to 12 entries with distinct seqs, pushed in
+        // program order on most iterations and shuffled on the rest.
+        const unsigned n = 1 + unsigned(nextRandom(rng) % 12);
+        std::vector<unsigned> seqs(n);
+        for (unsigned k = 0; k < n; ++k)
+            seqs[k] = 3 * k + unsigned(nextRandom(rng) % 3);
+        if (nextRandom(rng) % 4 == 0) {
+            for (unsigned k = n; k > 1; --k)
+                std::swap(seqs[k - 1], seqs[nextRandom(rng) % k]);
+            ++out_of_order;
+        }
+        for (unsigned seq : seqs) {
+            const uint64_t r = nextRandom(rng);
+            // A 16-byte window makes repeated and overlapping
+            // addresses common.
+            const uint64_t ready = clock + (r >> 40) % 24;
+            if (r % 2 == 0) {
+                const Op op = store_ops[(r >> 8) % 4];
+                const unsigned w = LsuReference::width(op);
+                const uint32_t addr =
+                    0x8000 + uint32_t((r >> 16) % (16 / w)) * w;
+                const uint32_t value = uint32_t(nextRandom(rng));
+                lsu.store(seq, addr, value, op, ready);
+                ref.buffer.push_back({seq, addr, value, op, ready});
+            } else {
+                const Op op = load_ops[(r >> 8) % 6];
+                const unsigned w = op == Op::Lb || op == Op::Lbu   ? 1
+                                   : op == Op::Lh || op == Op::Lhu ? 2
+                                                                   : 4;
+                const uint32_t addr =
+                    0x8000 + uint32_t((r >> 16) % (16 / w)) * w;
+                ASSERT_EQ(lsu.peek(seq, addr, op), ref.peek(seq, addr, op));
+                const LoadResult got = lsu.load(seq, addr, op, ready);
+                const LoadResult want = ref.load(seq, addr, op, ready);
+                ASSERT_EQ(got.value, want.value) << "iteration " << iter;
+                ASSERT_EQ(got.done_cycle, want.done_cycle);
+                ASSERT_EQ(got.forwarded, want.forwarded);
+                ASSERT_EQ(got.invalidated, want.invalidated);
+                forwarded += got.forwarded;
+                invalidated += got.invalidated;
+            }
+        }
+        ASSERT_EQ(lsu.commitStores(), ref.commit()) << "iteration " << iter;
+        for (uint32_t a = 0x8000; a < 0x8010; a += 4)
+            ASSERT_EQ(memory.read32(a), ref.memory.read32(a));
+        clock += 8 + nextRandom(rng) % 16;
+    }
+    EXPECT_EQ(lsu.forwards(), ref.forwards);
+    EXPECT_EQ(lsu.invalidations(), ref.invalidations);
+    // The trace exercised every path it is meant to cover.
+    EXPECT_GT(forwarded, 100u);
+    EXPECT_GT(invalidated, forwarded);
+    EXPECT_GT(out_of_order, 500u);
+}
+
 TEST(PortPool, IdealWhenHuge)
 {
     PortPool pool(64);
